@@ -16,14 +16,6 @@
 //	gemmbench -trace out.jsonl         span dump, one JSON object per line
 //	gemmbench -bench-out BENCH_gemm.json   machine-readable report
 //
-// The micro-kernel A/B mode times the same functional DGEMM with the
-// specialized fast-path micro-kernels and with the generic closure
-// kernels, checks the two results are bit-identical, and prints the
-// speedup:
-//
-//	gemmbench -micro
-//	gemmbench -micro -microsize 512
-//
 // The chaos mode smoke-tests the resilient serve path: a pool run under
 // a deterministic fault injector (transient launch failures, timeouts,
 // a scripted mid-run device death with a later revival), verifying
@@ -95,8 +87,6 @@ func run(args []string, stdout io.Writer) error {
 	metrics := fs.Bool("metrics", false, "run the instrumented functional benchmark and print the metrics registry and per-phase breakdown")
 	tracePath := fs.String("trace", "", "run the instrumented functional benchmark and dump its spans to this JSON-lines file")
 	benchOut := fs.String("bench-out", "", "run the instrumented functional benchmark and write a BENCH_gemm.json report to this file")
-	micro := fs.Bool("micro", false, "time one functional DGEMM with the fast-path micro-kernels and again with the generic kernels, verify bit-identity and print the speedup")
-	microSize := fs.Int("microsize", 256, "square problem size for -micro")
 	chaos := fs.Bool("chaos", false, "run the serve-path chaos smoke: pool DGEMMs under injected launch faults, a scripted device death and a later revival")
 	chaosSeed := fs.Int64("chaosseed", 1, "fault-injection seed for -chaos")
 	chaosRuns := fs.Int("chaosruns", 6, "number of pool runs for -chaos")
@@ -111,10 +101,6 @@ func run(args []string, stdout io.Writer) error {
 
 	if *chaos {
 		return runChaos(stdout, *chaosSeed, *chaosRuns)
-	}
-
-	if *micro {
-		return runMicro(stdout, *microSize)
 	}
 
 	if *metrics || *tracePath != "" || *benchOut != "" {
@@ -373,80 +359,6 @@ func vmPhaseEntries() ([]oclgemm.BenchEntry, error) {
 		})
 	}
 	return out, nil
-}
-
-// runMicro A/B-tests the micro-kernel specialization layer: the same
-// functional DGEMM (tahiti's published Table II kernel) runs once with
-// the specialized fast paths and once with the generic closure kernels,
-// the two C results are compared bit-for-bit, and both throughputs plus
-// the speedup are printed. The first call of each leg is the cold path
-// (plan build + pack); the timed iterations exercise the warm kernel
-// phase the specialization targets.
-func runMicro(stdout io.Writer, size int) error {
-	if size < 1 {
-		return fmt.Errorf("-microsize must be positive, got %d", size)
-	}
-	p, ok, err := oclgemm.ParamsFor(oclgemm.PaperKernels(), "tahiti", oclgemm.Double)
-	if err != nil || !ok {
-		return fmt.Errorf("tahiti Table II kernel: ok=%v err=%v", ok, err)
-	}
-	d, err := oclgemm.DeviceByID("tahiti")
-	if err != nil {
-		return err
-	}
-
-	m, n, k := size, size, size
-	a := oclgemm.NewMatrix[float64](m, k, oclgemm.RowMajor)
-	b := oclgemm.NewMatrix[float64](k, n, oclgemm.RowMajor)
-	rng := rand.New(rand.NewSource(1))
-	a.FillRandom(rng)
-	b.FillRandom(rng)
-
-	const iters = 2
-	measure := func(fast bool, c *oclgemm.Matrix[float64]) (float64, error) {
-		g, err := oclgemm.NewGEMM(d, p)
-		if err != nil {
-			return 0, err
-		}
-		defer g.Close()
-		g.SetFastPath(fast)
-		// Warm-up call builds the plan and fills the pack caches.
-		if err := g.Run(oclgemm.NoTrans, oclgemm.NoTrans, 1.0, a, b, 0.0, c); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := g.Run(oclgemm.NoTrans, oclgemm.NoTrans, 1.0, a, b, 0.0, c); err != nil {
-				return 0, err
-			}
-		}
-		wall := time.Since(start)
-		return float64(iters) * 2 * float64(m) * float64(n) * float64(k) / wall.Seconds() / 1e9, nil
-	}
-
-	cFast := oclgemm.NewMatrix[float64](m, n, oclgemm.RowMajor)
-	cGen := oclgemm.NewMatrix[float64](m, n, oclgemm.RowMajor)
-	fastGF, err := measure(true, cFast)
-	if err != nil {
-		return fmt.Errorf("fast path: %w", err)
-	}
-	genGF, err := measure(false, cGen)
-	if err != nil {
-		return fmt.Errorf("generic path: %w", err)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if cFast.At(i, j) != cGen.At(i, j) {
-				return fmt.Errorf("fast[%d,%d] = %v, generic %v — not bit-identical", i, j, cFast.At(i, j), cGen.At(i, j))
-			}
-		}
-	}
-
-	fmt.Fprintf(stdout, "Micro-kernel A/B, tahiti Table II DGEMM %dx%dx%d (%d timed iterations after warm-up):\n", m, n, k, iters)
-	fmt.Fprintf(stdout, "  fast     %8.3f GFlop/s simulated\n", fastGF)
-	fmt.Fprintf(stdout, "  generic  %8.3f GFlop/s simulated\n", genGF)
-	fmt.Fprintf(stdout, "  speedup  %.2fx, results bit-identical\n", fastGF/genGF)
-	return nil
 }
 
 // runChaos smoke-tests the resilient serve path: pool DGEMMs under a

@@ -149,12 +149,12 @@ func (g *GroupRun) ForAll(fn func(lx, ly int)) {
 	g.barriers++
 }
 
-// PhaseBarrier records one barrier without iterating work-items. Fast
-// kernel paths that fuse a whole ForAll phase into bulk operations
+// PhaseBarrier records one barrier without iterating work-items.
+// Kernels that fuse a whole ForAll phase into bulk operations
 // (panel-row copies, register-tiled loops) call it once per fused phase
-// so their barrier statistics stay identical to the generic
-// phase-by-phase form — tests assert fast and generic launches report
-// the same QueueStats.
+// so their barrier statistics stay identical to the phase-by-phase
+// form — TestPhaseBarrierMatchesForAll asserts both report the same
+// QueueStats.
 func (g *GroupRun) PhaseBarrier() { g.barriers++ }
 
 // GlobalID0 returns the global id in dimension 0 for local id lx.

@@ -4,8 +4,8 @@ package codegen_test
 // emitted by codegen is compiled by the clc front end, interpreted on
 // the clsim runtime with true per-work-item execution and barriers, and
 // compared against both the reference BLAS and the native Go kernels —
-// which must agree exactly in double precision, since both execute the
-// same schedule in the same accumulation order.
+// which must agree bit for bit in both precisions, since both compute
+// every C element in the same accumulation order.
 
 import (
 	"math"
@@ -22,13 +22,21 @@ import (
 	"oclgemm/internal/matrix"
 )
 
+// sameBits reports whether x and y have identical IEEE bit patterns.
+func sameBits[T matrix.Scalar](x, y T) bool {
+	if xf, ok := any(x).(float32); ok {
+		return math.Float32bits(xf) == math.Float32bits(any(y).(float32))
+	}
+	return math.Float64bits(any(x).(float64)) == math.Float64bits(any(y).(float64))
+}
+
 // runGenerated executes the generated source under BOTH clc engines —
 // the bytecode VM (whose result lands in c) and the AST-interpreter
 // oracle — and fails on any bitwise divergence between them. Every
 // integration test below therefore doubles as a differential check of
 // the VM.
-func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
-	alpha float64, at, bp []float64, beta float64, c []float64) {
+func runGenerated[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int,
+	alpha T, at, bp []T, beta T, c []T) {
 	t.Helper()
 	src, err := p.GenerateSource()
 	if err != nil {
@@ -49,8 +57,8 @@ func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
 		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
 		Local:  [2]int{p.MdimC, p.NdimC},
 	}
-	cInterp := append([]float64(nil), c...)
-	run := func(out []float64, forceInterp bool) {
+	cInterp := append([]T(nil), c...)
+	run := func(out []T, forceInterp bool) {
 		bound, err := kern.Bind(m, n, k, alpha, beta, at, bp, out)
 		if err != nil {
 			t.Fatalf("bind: %v", err)
@@ -65,7 +73,7 @@ func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
 	run(c, false)
 	run(cInterp, true)
 	for i := range c {
-		if math.Float64bits(c[i]) != math.Float64bits(cInterp[i]) {
+		if !sameBits(c[i], cInterp[i]) {
 			t.Fatalf("%s: bytecode VM diverges from interpreter at C[%d]: vm=%v interp=%v",
 				p.Name(), i, c[i], cInterp[i])
 		}
@@ -73,25 +81,28 @@ func runGenerated(t *testing.T, p codegen.Params, m, n, k int,
 }
 
 // checkGenerated packs inputs, runs the generated source through clc,
-// runs the native kernel, and compares both against the reference.
-func checkGenerated(t *testing.T, p codegen.Params, m, n, k int, seed int64) {
+// runs the native kernel, and compares the generated result against
+// the reference within tolerance and against the native kernel bit for
+// bit: both execute the same per-element arithmetic in the same
+// accumulation order, in either precision and for every stride mode.
+func checkGenerated[T matrix.Scalar](t *testing.T, p codegen.Params, m, n, k int, seed int64) {
 	t.Helper()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("invalid params: %v", err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	a := matrix.New[float64](m, k, matrix.RowMajor)
-	b := matrix.New[float64](k, n, matrix.RowMajor)
-	c := matrix.New[float64](m, n, matrix.RowMajor)
+	a := matrix.New[T](m, k, matrix.RowMajor)
+	b := matrix.New[T](k, n, matrix.RowMajor)
+	c := matrix.New[T](m, n, matrix.RowMajor)
 	a.FillRandom(rng)
 	b.FillRandom(rng)
 	c.FillRandom(rng)
-	alpha, beta := 1.5, -0.75
+	alpha, beta := T(1.5), T(-0.75)
 
 	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
 	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
 
-	// Generated source through the interpreter.
+	// Generated source through the clc engines.
 	cGen := c.Clone()
 	runGenerated(t, p, m, n, k, alpha, at.Data, bp.Data, beta, cGen.Data)
 
@@ -111,13 +122,19 @@ func checkGenerated(t *testing.T, p codegen.Params, m, n, k int, seed int64) {
 	want := c.Clone()
 	blas.GEMM(blas.NoTrans, blas.NoTrans, alpha, a, b, beta, want)
 
-	if d := matrix.MaxRelDiff(cGen, want); d > 1e-12 {
+	tol := 1e-12
+	if p.Precision == matrix.Single {
+		tol = matrix.Tolerance(matrix.Single, k)
+	}
+	if d := matrix.MaxRelDiff(cGen, want); d > tol {
 		t.Errorf("%s: generated source differs from reference by %g", p.Name(), d)
 	}
-	// Same schedule, same accumulation order: interpreter and native
-	// kernel must agree exactly in double precision.
-	if d := matrix.MaxRelDiff(cGen, cNat); d != 0 {
-		t.Errorf("%s: generated source differs from native kernel by %g (want exact)", p.Name(), d)
+	for i := range cGen.Data {
+		if !sameBits(cGen.Data[i], cNat.Data[i]) {
+			t.Errorf("%s: C[%d] generated %v, native %v (want bit-identical)",
+				p.Name(), i, cGen.Data[i], cNat.Data[i])
+			return
+		}
 	}
 }
 
@@ -137,7 +154,7 @@ func TestGeneratedBAAllLayouts(t *testing.T) {
 		for _, lb := range []matrix.Layout{matrix.LayoutRowMajor, matrix.LayoutCBL, matrix.LayoutRBL} {
 			p := smallParams()
 			p.LayoutA, p.LayoutB = la, lb
-			checkGenerated(t, p, 16, 16, 12, 1)
+			checkGenerated[float64](t, p, 16, 16, 12, 1)
 		}
 	}
 }
@@ -146,18 +163,20 @@ func TestGeneratedSharedModes(t *testing.T) {
 	for _, sh := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		p := smallParams()
 		p.SharedA, p.SharedB = sh[0], sh[1]
-		checkGenerated(t, p, 16, 24, 8, 2)
+		checkGenerated[float64](t, p, 16, 24, 8, 2)
 	}
 }
 
 func TestGeneratedStrideAndVector(t *testing.T) {
-	for _, st := range [][2]bool{{false, false}, {true, true}} {
+	for _, st := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
 		for _, vw := range []int{1, 2, 4} {
 			p := smallParams()
 			p.Nwg = 16 // Nwi = 4
 			p.StrideM, p.StrideN = st[0], st[1]
 			p.VectorWidth = vw
-			checkGenerated(t, p, 16, 32, 8, 3)
+			checkGenerated[float64](t, p, 16, 32, 8, 3)
+			p.Precision = matrix.Single
+			checkGenerated[float32](t, p, 16, 32, 8, 3)
 		}
 	}
 }
@@ -167,7 +186,9 @@ func TestGeneratedPL(t *testing.T) {
 		p := smallParams()
 		p.Algorithm = codegen.PL
 		p.SharedA, p.SharedB = sh[0], sh[1]
-		checkGenerated(t, p, 16, 16, 16, 4)
+		checkGenerated[float64](t, p, 16, 16, 16, 4)
+		p.Precision = matrix.Single
+		checkGenerated[float32](t, p, 16, 16, 16, 4)
 	}
 }
 
@@ -177,7 +198,7 @@ func TestGeneratedDB(t *testing.T) {
 		p.Algorithm = codegen.DB
 		p.Kwg = 8
 		p.SharedA, p.SharedB = sh[0], sh[1]
-		checkGenerated(t, p, 16, 16, 32, 5)
+		checkGenerated[float64](t, p, 16, 16, 32, 5)
 	}
 }
 
@@ -185,52 +206,14 @@ func TestGeneratedReshapedLoads(t *testing.T) {
 	p := smallParams()
 	p.Mwg, p.Nwg, p.Kwg = 16, 16, 8
 	p.MdimA, p.NdimB = 8, 2
-	checkGenerated(t, p, 32, 32, 16, 6)
+	checkGenerated[float64](t, p, 32, 32, 16, 6)
 }
 
 func TestGeneratedFloat32(t *testing.T) {
 	p := smallParams()
 	p.Precision = matrix.Single
 	p.VectorWidth = 2
-	src, err := p.GenerateSource()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := clc.Compile(src)
-	if err != nil {
-		t.Fatalf("%v\n%s", err, src)
-	}
-	kern, _ := prog.Kernel(codegen.KernelName)
-
-	m, n, k := 16, 16, 8
-	rng := rand.New(rand.NewSource(7))
-	a := matrix.New[float32](m, k, matrix.RowMajor)
-	b := matrix.New[float32](k, n, matrix.RowMajor)
-	c := matrix.New[float32](m, n, matrix.RowMajor)
-	a.FillRandom(rng)
-	b.FillRandom(rng)
-	c.FillRandom(rng)
-	at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
-	bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
-	cGen := c.Clone()
-	bound, err := kern.Bind(m, n, k, float32(1), float32(0.5), at.Data, bp.Data, cGen.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := clsim.NewContext(&clsim.Device{Spec: device.Tahiti()})
-	q := clsim.NewQueue(ctx)
-	nd := clsim.NDRange{
-		Global: [2]int{m / p.Mwg * p.MdimC, n / p.Nwg * p.NdimC},
-		Local:  [2]int{p.MdimC, p.NdimC},
-	}
-	if err := q.Run(bound, nd); err != nil {
-		t.Fatal(err)
-	}
-	want := c.Clone()
-	blas.GEMM(blas.NoTrans, blas.NoTrans, float32(1), a, b, float32(0.5), want)
-	if d := matrix.MaxRelDiff(cGen, want); d > float64(matrix.Tolerance(matrix.Single, k)) {
-		t.Errorf("float32 generated kernel differs by %g", d)
-	}
+	checkGenerated[float32](t, p, 16, 16, 8, 7)
 }
 
 // The paper's Table II Tahiti configs, functionally, at reduced size.
@@ -242,16 +225,18 @@ func TestGeneratedPaperConfig(t *testing.T) {
 		Kwi: 2, VectorWidth: 2, SharedB: true,
 		LayoutA: matrix.LayoutCBL, LayoutB: matrix.LayoutCBL,
 	}
-	checkGenerated(t, p, 96, 32, 48, 8)
+	checkGenerated[float64](t, p, 96, 32, 48, 8)
 }
 
 // Property test over random small configurations: the generated source,
-// interpreted, matches the reference BLAS for all three algorithms.
+// run by the clc engines, matches the reference BLAS and the native
+// kernel for all three algorithms, both precisions and every stride
+// mode.
 func TestGeneratedPropertyRandomConfigs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("interpreter property test")
 	}
-	f := func(algSel, mwiS, nwiS, kwgS, vwS, shSel, stSel, layA, layB uint8, seed int64) bool {
+	f := func(algSel, mwiS, nwiS, kwgS, vwS, shSel, stSel, layA, layB uint8, single bool, seed int64) bool {
 		p := codegen.Params{
 			Precision: matrix.Double,
 			Algorithm: codegen.Algorithms[algSel%3],
@@ -273,25 +258,19 @@ func TestGeneratedPropertyRandomConfigs(t *testing.T) {
 		if p.Algorithm == codegen.DB && !p.UsesLocalMemory() {
 			p.SharedB = true
 		}
+		if single {
+			p.Precision = matrix.Single
+		}
 		if err := p.Validate(); err != nil {
 			return true
 		}
 		m, n, k := p.Mwg*2, p.Nwg, p.Kwg*2
-
-		rng := rand.New(rand.NewSource(seed))
-		a := matrix.New[float64](m, k, matrix.RowMajor)
-		b := matrix.New[float64](k, n, matrix.RowMajor)
-		c := matrix.New[float64](m, n, matrix.RowMajor)
-		a.FillRandom(rng)
-		b.FillRandom(rng)
-		c.FillRandom(rng)
-		at := matrix.Pack(a, true, k, m, p.Kwg, p.Mwg, p.LayoutA)
-		bp := matrix.Pack(b, false, k, n, p.Kwg, p.Nwg, p.LayoutB)
-		cGen := c.Clone()
-		runGenerated(t, p, m, n, k, 1.0, at.Data, bp.Data, 1.0, cGen.Data)
-		want := c.Clone()
-		blas.GEMM(blas.NoTrans, blas.NoTrans, 1.0, a, b, 1.0, want)
-		return matrix.MaxRelDiff(cGen, want) < 1e-12
+		if single {
+			checkGenerated[float32](t, p, m, n, k, seed)
+		} else {
+			checkGenerated[float64](t, p, m, n, k, seed)
+		}
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

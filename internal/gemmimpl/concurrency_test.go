@@ -18,6 +18,7 @@ import (
 
 	"oclgemm/internal/blas"
 	"oclgemm/internal/matrix"
+	"oclgemm/internal/obs"
 )
 
 // refGEMM computes the expected C with the serial pure-Go reference
@@ -229,15 +230,17 @@ func TestFailedBuildDoesNotPoisonKey(t *testing.T) {
 	}
 }
 
-// SetWorkers (and SetFastPath) racing with Runs on a shared Engine:
+// SetWorkers and SetObservability racing with Runs on a shared Engine:
 // the old code wrote Impl.Workers unsynchronized while Plan.RunCtx
-// read it — a data race -race flags. Results must stay bit-exact
-// throughout.
+// read it — a data race -race flags — and the plan caches re-resolve
+// their counters whenever the registry changes. Results must stay
+// bit-exact throughout.
 func TestSetWorkersConcurrentWithRuns(t *testing.T) {
 	im := testImpl(t)
 	eng := NewEngine(im)
 	defer eng.Close()
 
+	regs := []*obs.Registry{obs.NewRegistry(), nil}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -250,7 +253,7 @@ func TestSetWorkersConcurrentWithRuns(t *testing.T) {
 			default:
 			}
 			im.SetWorkers(i % 3)
-			im.SetForceGenericKernels(i%2 == 0)
+			im.SetObservability(regs[i%2], nil)
 		}
 	}()
 

@@ -32,8 +32,8 @@ import (
 // parameter set (usually the tuner's winner). One Impl may be shared by
 // any number of plans and request goroutines: the immutable identity
 // (Dev, Params) is plain data, and every mutable option lives behind
-// atomic or mutex access so SetWorkers/SetForceGenericKernels may be
-// called concurrently with Runs (serve path).
+// atomic or mutex access so SetWorkers/SetObservability may be called
+// concurrently with Runs (serve path).
 type Impl struct {
 	Dev    *device.Spec
 	Params codegen.Params
@@ -43,12 +43,6 @@ type Impl struct {
 	// 1 = serial); see clsim.Queue.Workers. Atomic: read at every Run,
 	// written by SetWorkers at any time.
 	workers atomic.Int64
-
-	// forceGeneric disables the micro-kernel fast paths on every kernel
-	// built by plans of this implementation, forcing the generic
-	// closure reference path (A/B benchmarking, bit-identity tests).
-	// Atomic: it only affects plans built after the write.
-	forceGeneric atomic.Bool
 
 	// mu guards the reference-typed options below, which are copied
 	// into a plan at build time.
@@ -76,14 +70,6 @@ func (im *Impl) SetWorkers(n int) { im.workers.Store(int64(n)) }
 // Workers returns the current work-group parallelism bound.
 func (im *Impl) Workers() int { return int(im.workers.Load()) }
 
-// SetForceGenericKernels disables (true) or re-enables (false) the
-// micro-kernel fast paths. It affects plans built after the call; safe
-// to call concurrently with Runs.
-func (im *Impl) SetForceGenericKernels(force bool) { im.forceGeneric.Store(force) }
-
-// ForceGenericKernels reports whether new plans build generic kernels.
-func (im *Impl) ForceGenericKernels() bool { return im.forceGeneric.Load() }
-
 // SetLaunchHook installs the hook consulted before every kernel launch
 // of plans built after the call (fault injection; see
 // clsim.Queue.LaunchHook). Safe to call concurrently with Runs.
@@ -94,8 +80,9 @@ func (im *Impl) SetLaunchHook(hook func(kernelName string) error) {
 }
 
 // SetObservability attaches a metrics registry and/or span tracer
-// (either may be nil) to plans built after the call: per-phase timing
-// histograms, pack-reuse and plan-cache counters, and the clsim
+// (either may be nil). Plan caches count hits, misses and evictions
+// into it from their next lookup; plans built after the call record
+// per-phase timing histograms, pack-reuse counters and the clsim
 // launch/buffer accounting. Safe to call concurrently with Runs, but
 // plans already built keep the instruments they were built with.
 func (im *Impl) SetObservability(r *obs.Registry, t *obs.Tracer) {

@@ -285,16 +285,6 @@ func NewPlan[T matrix.Scalar](im *Impl, m, n, k int) (*Plan[T], error) {
 		pl.Close()
 		return nil, err
 	}
-	pl.kern.SetObserver(reg)
-	for _, pk := range []*kernels.Pack[T]{pl.packA, pl.packB, pl.packC} {
-		pk.SetObserver(reg)
-	}
-	if im.ForceGenericKernels() {
-		pl.kern.SetFastPath(false)
-		for _, pk := range []*kernels.Pack[T]{pl.packA, pl.packB, pl.packC} {
-			pk.SetFastPath(false)
-		}
-	}
 	return pl, nil
 }
 
@@ -528,6 +518,9 @@ type PlanCache[T matrix.Scalar] struct {
 	im       *Impl
 	maxPlans int
 
+	// reg is the registry hit/miss/evicted were resolved from; acquire
+	// re-resolves them when SetObservability has swapped it since.
+	reg                *obs.Registry
 	hit, miss, evicted *obs.Counter
 
 	// buildHook, when set, runs in the building goroutine after the
@@ -548,11 +541,19 @@ func NewPlanCache[T matrix.Scalar](im *Impl, maxPlans int) *PlanCache[T] {
 	if maxPlans <= 0 {
 		maxPlans = DefaultMaxPlans
 	}
-	return &PlanCache[T]{
-		im: im, maxPlans: maxPlans, plans: make(map[planKey]*cacheEntry[T]),
-		hit:     im.Obs().Counter("gemm.plan.hit"),
-		miss:    im.Obs().Counter("gemm.plan.miss"),
-		evicted: im.Obs().Counter("gemm.plan.evicted"),
+	return &PlanCache[T]{im: im, maxPlans: maxPlans, plans: make(map[planKey]*cacheEntry[T])}
+}
+
+// syncObsLocked points the hit/miss/evicted counters at the
+// implementation's current registry, so a registry attached after the
+// cache was built still counts every later lookup. Called with pc.mu
+// held; a lookup costs one pointer compare unless the registry changed.
+func (pc *PlanCache[T]) syncObsLocked() {
+	if r := pc.im.Obs(); r != pc.reg {
+		pc.reg = r
+		pc.hit = r.Counter("gemm.plan.hit")
+		pc.miss = r.Counter("gemm.plan.miss")
+		pc.evicted = r.Counter("gemm.plan.evicted")
 	}
 }
 
@@ -627,6 +628,7 @@ func (pc *PlanCache[T]) acquire(ctx context.Context, m, n, k int) (*cacheEntry[T
 	key := planKey{mp, np, kp}
 
 	pc.mu.Lock()
+	pc.syncObsLocked()
 	e := pc.plans[key]
 	if e == nil {
 		// Cold miss: claim the key with an unbuilt entry and build
@@ -665,6 +667,7 @@ func (pc *PlanCache[T]) acquire(ctx context.Context, m, n, k int) (*cacheEntry[T
 	} else {
 		e.refs++
 		pc.touchLocked(e)
+		hit := pc.hit
 		pc.mu.Unlock()
 		select {
 		case <-e.ready:
@@ -676,7 +679,7 @@ func (pc *PlanCache[T]) acquire(ctx context.Context, m, n, k int) (*cacheEntry[T
 			pc.release(e)
 			return nil, e.err
 		}
-		pc.hit.Inc()
+		hit.Inc()
 	}
 	return e, nil
 }

@@ -9,35 +9,27 @@
 // model, and they cross-check the OpenCL C sources emitted by the
 // generator (interpreted by the clc package) against the reference
 // BLAS.
+//
+// Every parameter point runs one native path. Panel geometry is
+// resolved at build time into closure-free row offsets (panelGeom), so
+// panel loads are whole-row copies, the inner product register-tiles
+// each work-item's C block over resliced panel rows, and per-group
+// state is recycled so a warm launch allocates nothing. The stride
+// modes of §III-B (Fig. 2) only change which C elements a work-item
+// owns — how it touches device memory, which the performance model
+// prices — never any element's k-order, so the native kernels assign C
+// elements with the unit-stride mapping for every StrideM/StrideN
+// setting and produce the same C bit for bit as the generated source.
 package kernels
 
 import (
 	"fmt"
+	"sync"
 
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/matrix"
-	"oclgemm/internal/obs"
 )
-
-// index maps matrix coordinates (r, c) of an R×C operand to a flat
-// offset under one of the generator's layouts with (rb, cb) blocking.
-type index func(r, c int) int
-
-func indexer(layout matrix.Layout, rows, cols, rb, cb int) index {
-	switch layout {
-	case matrix.LayoutCBL:
-		return func(r, c int) int {
-			return (c/cb)*(rows*cb) + r*cb + c%cb
-		}
-	case matrix.LayoutRBL:
-		return func(r, c int) int {
-			return (r/rb)*(rb*cols) + (c/cb)*(rb*cb) + (r%rb)*cb + c%cb
-		}
-	default:
-		return func(r, c int) int { return r*cols + c }
-	}
-}
 
 // GEMM is one launchable C ← α·Aᵀ·B + β·C kernel instance. A is the
 // K×M transposed operand in layout P.LayoutA with (Kwg, Mwg) blocking,
@@ -50,12 +42,9 @@ type GEMM[T matrix.Scalar] struct {
 	Alpha, Beta T
 	A, B, C     []T
 
-	idxA, idxB index
 	geoA, geoB panelGeom
-	micro      microKind
 	esize      int
 	pool       statePool[T]
-	o          kernObs
 }
 
 // NewGEMM validates shapes and builds the kernel.
@@ -76,34 +65,11 @@ func NewGEMM[T matrix.Scalar](p codegen.Params, m, n, k int, alpha T, a []T, b [
 		P: p, M: m, N: n, K: k,
 		Alpha: alpha, Beta: beta,
 		A: a, B: b, C: c,
-		idxA:  indexer(p.LayoutA, k, m, p.Kwg, p.Mwg),
-		idxB:  indexer(p.LayoutB, k, n, p.Kwg, p.Nwg),
 		geoA:  panelGeom{layout: p.LayoutA, rows: k, cols: m, rb: p.Kwg, cb: p.Mwg},
 		geoB:  panelGeom{layout: p.LayoutB, rows: k, cols: n, rb: p.Kwg, cb: p.Nwg},
-		micro: selectMicro(p),
 		esize: elemBytes[T](),
 	}, nil
 }
-
-// SetObserver resolves the kernel's micro-kernel selection counters
-// from the registry (kernels.gemm.groups{micro=unit|generic}, one
-// increment per executed work-group). A nil registry detaches.
-func (g *GEMM[T]) SetObserver(r *obs.Registry) { g.o = resolveKernObs(r, "gemm") }
-
-// SetFastPath re-runs (enabled) or overrides (disabled) the
-// micro-kernel dispatch. Disabling forces every phase through the
-// generic closure path — the semantic reference the fast paths are
-// tested bit-identical against.
-func (g *GEMM[T]) SetFastPath(enabled bool) {
-	if enabled {
-		g.micro = selectMicro(g.P)
-	} else {
-		g.micro = microGeneric
-	}
-}
-
-// Micro reports which micro-kernel the dispatch selected.
-func (g *GEMM[T]) Micro() string { return g.micro.String() }
 
 // Name implements clsim.GroupKernel.
 func (g *GEMM[T]) Name() string { return g.P.Name() }
@@ -124,168 +90,228 @@ func (g *GEMM[T]) NDRange() clsim.NDRange {
 	}
 }
 
-// rowOf returns the global M index of element i of the work-item at
-// local x-coordinate lx (unit or MdimC-strided mapping, Fig. 2).
-func (g *GEMM[T]) rowOf(gx, lx, i int) int {
-	if g.P.StrideM {
-		return gx*g.P.Mwg + lx + i*g.P.MdimC
-	}
-	return gx*g.P.Mwg + lx*g.P.Mwi() + i
+// panelGeom resolves flat offsets of one packed operand a whole row-run
+// at a time instead of one element. The enabling invariant is that the
+// planner packs with blocking equal to the kernel's work-group tiling
+// (A: Kwg×Mwg, B: Kwg×Nwg), so the cb columns of block-column blk in
+// row r are contiguous under all three layouts.
+type panelGeom struct {
+	layout     matrix.Layout
+	rows, cols int
+	rb, cb     int
 }
 
-// colOf returns the global N index of element j of the work-item at
-// local y-coordinate ly. With vector width vw, the Nwi elements are
-// grouped into vw-wide vectors; the strided mapping interleaves the
-// vectors at vw·NdimC pitch (§III-B: "stride sizes are multiplied by
-// the vector width").
-func (g *GEMM[T]) colOf(gy, ly, j int) int {
-	vw := g.P.VectorWidth
-	if g.P.StrideN {
-		jv, je := j/vw, j%vw
-		return gy*g.P.Nwg + jv*(vw*g.P.NdimC) + ly*vw + je
+// rowStart returns the flat offset of element (r, blk*cb): the start of
+// the contiguous cb-wide run of row r inside block-column blk.
+func (pg *panelGeom) rowStart(r, blk int) int {
+	switch pg.layout {
+	case matrix.LayoutCBL:
+		return blk*(pg.rows*pg.cb) + r*pg.cb
+	case matrix.LayoutRBL:
+		return (r/pg.rb)*(pg.rb*pg.cols) + blk*(pg.rb*pg.cb) + (r%pg.rb)*pg.cb
+	default:
+		return r*pg.cols + blk*pg.cb
 	}
-	return gy*g.P.Nwg + ly*g.P.Nwi() + j
 }
 
 // state is the per-work-group execution state shared by the three
 // schedules: local memory panels and per-work-item private memory.
-// Instances are recycled through the kernel's statePool (micro.go), so
-// a warm launch allocates nothing.
+// Instances are recycled through the kernel's statePool, so a warm
+// launch allocates nothing.
 type state[T matrix.Scalar] struct {
 	alm, blm []T // local panels (Kwg×Mwg / Kwg×Nwg), nil if not shared
 	acc      []T // per-WI accumulators, wi*Mwi*Nwi
 	mwi, nwi int
-
-	// stageA/stageB are the PL schedule's private staging registers,
-	// allocated lazily by the generic path and kept across reuse.
-	stageA, stageB []T
 }
 
-// loadPanelA cooperatively stages rows [pwg+k0, pwg+k0+kLen) of the A
-// panel into alm (local layout: row-major Kwg×Mwg with row origin k0).
-// Each work-item covers an MwiA×KwiA' slice under the reshaped
-// (MdimA × KdimA) assignment of §III-C. The unit-stride micro-kernel
-// fuses the scatter into whole-row copies (micro.go).
-func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.loadPanelAFast(s, run, gx, pwg, k0, kLen)
-		return
-	}
+// statePool recycles per-work-group state across groups and launches.
+// It is a mutex-guarded stack rather than a sync.Pool: the GC may drop
+// sync.Pool items at any point, which would break the warm-launch
+// zero-allocation guarantee the execution engine tests enforce.
+type statePool[T matrix.Scalar] struct {
+	mu   sync.Mutex
+	free []*state[T]
+	// allocs counts states built fresh (free list empty); a warm launch
+	// must not move it — the batched zero-alloc tests assert on it.
+	allocs int64
+}
+
+// StateAllocs returns how many work-group states the kernel has
+// allocated across its lifetime. Warm launches recycle states through
+// the free list, so the count stays flat once the kernel has run at
+// its steady-state parallelism — the observable half of the
+// zero-allocation warm-path guarantee.
+func (g *GEMM[T]) StateAllocs() int64 {
+	g.pool.mu.Lock()
+	defer g.pool.mu.Unlock()
+	return g.pool.allocs
+}
+
+// getState returns a ready work-group state: local-memory capacity is
+// charged against the device budget exactly as an allocation would be
+// (so ErrLocalMemExceeded fires identically), the accumulator is
+// zeroed, and backing slabs are reused when the pool has them.
+func (g *GEMM[T]) getState(run *clsim.GroupRun) *state[T] {
 	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	kPer := kLen / kdim
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am := t % mdimA
-		ak := t / mdimA
-		for kk := 0; kk < kPer; kk++ {
-			k := ak + kk*kdim
-			for mm := 0; mm < p.Mwg/mdimA; mm++ {
-				m := am + mm*mdimA
-				s.alm[(k0+k)*p.Mwg+m] = g.A[g.idxA(pwg+k0+k, gx*p.Mwg+m)]
-			}
+	if p.SharedA {
+		run.TakeLocal(g.esize * p.Kwg * p.Mwg)
+	}
+	if p.SharedB {
+		run.TakeLocal(g.esize * p.Kwg * p.Nwg)
+	}
+	g.pool.mu.Lock()
+	var s *state[T]
+	if n := len(g.pool.free); n > 0 {
+		s = g.pool.free[n-1]
+		g.pool.free = g.pool.free[:n-1]
+	} else {
+		g.pool.allocs++
+	}
+	g.pool.mu.Unlock()
+	if s == nil {
+		s = &state[T]{mwi: p.Mwi(), nwi: p.Nwi()}
+		s.acc = make([]T, run.Size()*s.mwi*s.nwi)
+		if p.SharedA {
+			s.alm = make([]T, p.Kwg*p.Mwg)
 		}
-	})
+		if p.SharedB {
+			s.blm = make([]T, p.Kwg*p.Nwg)
+		}
+		return s
+	}
+	// The local panels need no clearing: every schedule stages a panel
+	// row range before any compute phase reads it.
+	clear(s.acc)
+	return s
+}
+
+func (g *GEMM[T]) putState(s *state[T]) {
+	g.pool.mu.Lock()
+	g.pool.free = append(g.pool.free, s)
+	g.pool.mu.Unlock()
+}
+
+// elemBytes returns the element size of T for local-memory accounting.
+func elemBytes[T matrix.Scalar]() int {
+	var zero T
+	if _, ok := any(zero).(float64); ok {
+		return 8
+	}
+	return 4
+}
+
+// loadPanelA stages rows [pwg+k0, pwg+k0+kLen) of the A panel into alm
+// (local layout: row-major Kwg×Mwg with row origin k0) with one copy
+// per row. The cooperative (MdimA × KdimA) loads of §III-C write
+// exactly these elements, so one PhaseBarrier stands for the load
+// phase's barrier.
+func (g *GEMM[T]) loadPanelA(s *state[T], run *clsim.GroupRun, gx, pwg, k0, kLen int) {
+	mwg := g.P.Mwg
+	for k := k0; k < k0+kLen; k++ {
+		src := g.geoA.rowStart(pwg+k, gx)
+		copy(s.alm[k*mwg:(k+1)*mwg], g.A[src:src+mwg])
+	}
+	run.PhaseBarrier()
 }
 
 // loadPanelB is the B counterpart of loadPanelA (NdimB × KdimB grid).
 func (g *GEMM[T]) loadPanelB(s *state[T], run *clsim.GroupRun, gy, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.loadPanelBFast(s, run, gy, pwg, k0, kLen)
-		return
+	nwg := g.P.Nwg
+	for k := k0; k < k0+kLen; k++ {
+		src := g.geoB.rowStart(pwg+k, gy)
+		copy(s.blm[k*nwg:(k+1)*nwg], g.B[src:src+nwg])
 	}
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	kPer := kLen / kdim
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn := t % ndimB
-		bk := t / ndimB
-		for kk := 0; kk < kPer; kk++ {
-			k := bk + kk*kdim
-			for nn := 0; nn < p.Nwg/ndimB; nn++ {
-				n := bn + nn*ndimB
-				s.blm[(k0+k)*p.Nwg+n] = g.B[g.idxB(pwg+k0+k, gy*p.Nwg+n)]
-			}
-		}
-	})
+	run.PhaseBarrier()
 }
 
 // compute performs the inner multiply-accumulate for local k range
-// [k0, k0+kLen) of the panel at pwg. Operands come from local memory
-// when staged, directly from global memory otherwise. The unit-stride
-// micro-kernel register-tiles the same loop nest (micro.go).
+// [k0, k0+kLen) of the panel at pwg. For each panel row kk it reslices
+// the Mwg-wide A run and Nwg-wide B run once (from local memory when
+// staged, straight out of the packed global operand otherwise — the
+// pack blocking makes both contiguous), then walks the work-items
+// register-tiling C into each one's Mwi×Nwi accumulator block. Each
+// accumulator element sums its terms in ascending k, skipping a == 0
+// terms.
 func (g *GEMM[T]) compute(s *state[T], run *clsim.GroupRun, gx, gy, pwg, k0, kLen int) {
-	if g.micro == microUnit {
-		g.computeUnit(s, run, gx, gy, pwg, k0, kLen)
-		return
-	}
 	p := &g.P
-	run.ForAll(func(lx, ly int) {
-		wi := ly*p.MdimC + lx
-		acc := s.acc[wi*s.mwi*s.nwi : (wi+1)*s.mwi*s.nwi]
-		for kk := k0; kk < k0+kLen; kk++ {
-			for i := 0; i < s.mwi; i++ {
-				var av T
-				if p.SharedA {
-					// Local A panel is row-major Kwg×Mwg; the local M
-					// coordinate mirrors the compute mapping.
-					av = s.alm[kk*p.Mwg+g.rowOf(0, lx, i)]
-				} else {
-					av = g.A[g.idxA(pwg+kk, g.rowOf(gx, lx, i))]
-				}
-				if av == 0 {
-					continue
-				}
-				for j := 0; j < s.nwi; j++ {
-					var bv T
-					if p.SharedB {
-						bv = s.blm[kk*p.Nwg+g.colOf(0, ly, j)]
-					} else {
-						bv = g.B[g.idxB(pwg+kk, g.colOf(gy, ly, j))]
+	mwi, nwi := s.mwi, s.nwi
+	per := mwi * nwi
+	for kk := k0; kk < k0+kLen; kk++ {
+		var arow, brow []T
+		if p.SharedA {
+			arow = s.alm[kk*p.Mwg : (kk+1)*p.Mwg]
+		} else {
+			base := g.geoA.rowStart(pwg+kk, gx)
+			arow = g.A[base : base+p.Mwg]
+		}
+		if p.SharedB {
+			brow = s.blm[kk*p.Nwg : (kk+1)*p.Nwg]
+		} else {
+			base := g.geoB.rowStart(pwg+kk, gy)
+			brow = g.B[base : base+p.Nwg]
+		}
+		// Work-item (lx, ly) owns tile ly·MdimC+lx, built from B
+		// segment ly and A segment lx, so walking the B segments outside
+		// the A segments visits the tiles in order.
+		tiles := s.acc
+		for b := brow; len(b) > 0; b = b[nwi:] {
+			bseg := b[:nwi]
+			for a := arow; len(a) > 0; a = a[mwi:] {
+				aseg, acc := a[:mwi], tiles[:per]
+				tiles = tiles[per:]
+				for i, av := range aseg {
+					if av == 0 {
+						continue
 					}
-					acc[i*s.nwi+j] += av * bv
+					ai := acc[i*nwi : i*nwi+nwi]
+					for j, bv := range bseg {
+						ai[j] += av * bv
+					}
 				}
 			}
 		}
-	})
+	}
+	run.PhaseBarrier()
 }
 
-// merge writes α·acc + β·C back to global C (line 13 of Fig. 4). Per
-// BLAS semantics C is not read when β == 0, so NaN/Inf-poisoned or
-// uninitialized output buffers cannot corrupt the result (0·NaN = NaN
-// would otherwise leak through).
+// merge writes α·acc + β·C back to global C (line 13 of Fig. 4) row-run
+// by row-run: each work-item's j-run of Nwi elements is contiguous in
+// row-major C. Per BLAS semantics C is not read when β == 0, so
+// NaN/Inf-poisoned or uninitialized output buffers cannot corrupt the
+// result (0·NaN = NaN would otherwise leak through).
 func (g *GEMM[T]) merge(s *state[T], run *clsim.GroupRun, gx, gy int) {
-	if g.micro == microUnit {
-		g.mergeUnit(s, run, gx, gy)
-		return
-	}
 	p := &g.P
-	run.ForAll(func(lx, ly int) {
-		wi := ly*p.MdimC + lx
-		acc := s.acc[wi*s.mwi*s.nwi : (wi+1)*s.mwi*s.nwi]
-		for i := 0; i < s.mwi; i++ {
-			m := g.rowOf(gx, lx, i)
-			for j := 0; j < s.nwi; j++ {
-				n := g.colOf(gy, ly, j)
-				idx := m*g.N + n
-				v := g.Alpha * acc[i*s.nwi+j]
-				if g.Beta != 0 {
-					v += g.Beta * g.C[idx]
+	mwi, nwi := s.mwi, s.nwi
+	per := mwi * nwi
+	alpha, beta := g.Alpha, g.Beta
+	for ly := 0; ly < p.NdimC; ly++ {
+		n0 := gy*p.Nwg + ly*nwi
+		for lx := 0; lx < p.MdimC; lx++ {
+			wi := ly*p.MdimC + lx
+			acc := s.acc[wi*per : (wi+1)*per]
+			m0 := gx*p.Mwg + lx*mwi
+			for i := 0; i < mwi; i++ {
+				crow := g.C[(m0+i)*g.N+n0 : (m0+i)*g.N+n0+nwi]
+				ai := acc[i*nwi : i*nwi+nwi]
+				if beta == 0 {
+					for j, av := range ai {
+						crow[j] = alpha * av
+					}
+				} else {
+					for j, av := range ai {
+						crow[j] = alpha*av + beta*crow[j]
+					}
 				}
-				g.C[idx] = v
 			}
 		}
-	})
+	}
+	run.PhaseBarrier()
 }
 
 // RunGroup implements clsim.GroupKernel, dispatching on the schedule.
 // Work-group state comes from the kernel's free list and goes back when
 // the group finishes, so warm launches allocate nothing.
 func (g *GEMM[T]) RunGroup(run *clsim.GroupRun) {
-	g.o.group(g.micro)
 	s := g.getState(run)
 	defer g.putState(s)
 	switch g.P.Algorithm {
@@ -310,9 +336,8 @@ func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
 		if p.SharedB {
 			g.loadPanelB(s, run, gy, pwg, 0, p.Kwg)
 		}
-		// ForAll ends with an implicit barrier (Fig. 4 line 5).
+		// Each phase ends with a barrier (Fig. 4 lines 5 and 11).
 		g.compute(s, run, gx, gy, pwg, 0, p.Kwg)
-		// Implicit barrier again (line 11).
 	}
 	g.merge(s, run, gx, gy)
 }
@@ -320,18 +345,15 @@ func (g *GEMM[T]) runBA(s *state[T], run *clsim.GroupRun) {
 // runPL is the software-pipelined algorithm (Fig. 5): the panel for
 // iteration i+1 is fetched into private registers while iteration i
 // computes from local memory, then stored to local memory behind a
-// barrier. Functionally the staging is equivalent to BA; the schedule
-// (prologue, pipelined body, epilogue) is followed faithfully so the
-// barrier structure matches the generated source. Operands not staged
-// through local memory are read directly, as in BA.
+// barrier. The private staging has no observable effect until the store
+// lands its contents in local memory, so the fetch phase only records
+// its barrier and the store phase loads local memory directly; the
+// barrier structure (prologue, pipelined body, epilogue) matches the
+// generated source. Operands not staged through local memory are read
+// directly, as in BA.
 func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
-	if g.micro == microUnit {
-		g.runPLFast(s, run, gx, gy)
-		return
-	}
-
 	// Prologue (Fig. 5 lines 2-4): first panel into local memory.
 	if p.SharedA {
 		g.loadPanelA(s, run, gx, 0, 0, p.Kwg)
@@ -339,36 +361,24 @@ func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 	if p.SharedB {
 		g.loadPanelB(s, run, gy, 0, 0, p.Kwg)
 	}
-
-	// Per-work-item staging registers for the next panel, kept in the
-	// pooled state across groups and launches.
-	if p.SharedA && s.stageA == nil {
-		s.stageA = make([]T, run.Size()*p.MwiA()*p.KwiA())
-	}
-	if p.SharedB && s.stageB == nil {
-		s.stageB = make([]T, run.Size()*p.KwiB()*p.NwiB())
-	}
-	stageA, stageB := s.stageA, s.stageB
-
 	pwg := 0
 	for ; pwg <= g.K-2*p.Kwg; pwg += p.Kwg {
 		next := pwg + p.Kwg
-		// Lines 6-7: fetch next panel into private staging.
+		// Lines 6-7: fetch the next panel into private staging.
 		if p.SharedA {
-			g.stageLoadA(s, run, stageA, gx, next)
+			run.PhaseBarrier()
 		}
 		if p.SharedB {
-			g.stageLoadB(s, run, stageB, gy, next)
+			run.PhaseBarrier()
 		}
-		// Lines 9-13: compute current panel from local memory.
+		// Lines 9-13: compute the current panel from local memory.
 		g.compute(s, run, gx, gy, pwg, 0, p.Kwg)
-		// Lines 15-16: store staging into local memory (barrier before
-		// and after, lines 14/17 — ForAll provides the phase barrier).
+		// Lines 14-17: store staging into local memory behind barriers.
 		if p.SharedA {
-			g.stageStoreA(s, run, stageA)
+			g.loadPanelA(s, run, gx, next, 0, p.Kwg)
 		}
 		if p.SharedB {
-			g.stageStoreB(s, run, stageB)
+			g.loadPanelB(s, run, gy, next, 0, p.Kwg)
 		}
 	}
 	// Epilogue (lines 19-23): last panel.
@@ -376,87 +386,12 @@ func (g *GEMM[T]) runPL(s *state[T], run *clsim.GroupRun) {
 	g.merge(s, run, gx, gy)
 }
 
-func (g *GEMM[T]) stageLoadA(s *state[T], run *clsim.GroupRun, stage []T, gx, pwg int) {
-	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	per := p.MwiA() * p.KwiA()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am, ak := t%mdimA, t/mdimA
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiA(); kk++ {
-			for mm := 0; mm < p.MwiA(); mm++ {
-				buf[idx] = g.A[g.idxA(pwg+ak+kk*kdim, gx*p.Mwg+am+mm*mdimA)]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageStoreA(s *state[T], run *clsim.GroupRun, stage []T) {
-	p := &g.P
-	mdimA := p.MdimA
-	kdim := p.WGSize() / mdimA
-	per := p.MwiA() * p.KwiA()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		am, ak := t%mdimA, t/mdimA
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiA(); kk++ {
-			for mm := 0; mm < p.MwiA(); mm++ {
-				s.alm[(ak+kk*kdim)*p.Mwg+am+mm*mdimA] = buf[idx]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageLoadB(s *state[T], run *clsim.GroupRun, stage []T, gy, pwg int) {
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	per := p.KwiB() * p.NwiB()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn, bk := t%ndimB, t/ndimB
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiB(); kk++ {
-			for nn := 0; nn < p.NwiB(); nn++ {
-				buf[idx] = g.B[g.idxB(pwg+bk+kk*kdim, gy*p.Nwg+bn+nn*ndimB)]
-				idx++
-			}
-		}
-	})
-}
-
-func (g *GEMM[T]) stageStoreB(s *state[T], run *clsim.GroupRun, stage []T) {
-	p := &g.P
-	ndimB := p.NdimB
-	kdim := p.WGSize() / ndimB
-	per := p.KwiB() * p.NwiB()
-	run.ForAll(func(lx, ly int) {
-		t := ly*p.MdimC + lx
-		bn, bk := t%ndimB, t/ndimB
-		buf := stage[t*per : (t+1)*per]
-		idx := 0
-		for kk := 0; kk < p.KwiB(); kk++ {
-			for nn := 0; nn < p.NwiB(); nn++ {
-				s.blm[(bk+kk*kdim)*p.Nwg+bn+nn*ndimB] = buf[idx]
-				idx++
-			}
-		}
-	})
-}
-
 // runDB is the double-buffered algorithm (Fig. 6): the Kwg panel is
 // split into two half-panels staged in alternating local-memory
 // buffers, so loads of one half overlap compute on the other. The two
 // halves live in the same local allocation (first and second Kwg/2
-// rows), matching the total local-memory budget of BA.
+// rows), matching the total local-memory budget of BA. Direct
+// (non-staged) operands read global memory at the true k offset.
 func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
 	p := &g.P
 	gx, gy := run.ID(0), run.ID(1)
@@ -489,7 +424,7 @@ func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
 			g.loadPanelB(s, run, gy, pwg+p.Kwg, 0, half)
 		}
 		// Lines 16-20: compute on buffer 1 (previous panel's k range).
-		g.computeDBHigh(s, run, gx, gy, pwg, half)
+		g.compute(s, run, gx, gy, pwg, half, half)
 	}
 	// Epilogue (lines 22-35): finish the last panel.
 	if p.SharedA {
@@ -499,13 +434,6 @@ func (g *GEMM[T]) runDB(s *state[T], run *clsim.GroupRun) {
 		g.loadPanelB(s, run, gy, pwg, half, half)
 	}
 	g.compute(s, run, gx, gy, pwg, 0, half)
-	g.computeDBHigh(s, run, gx, gy, pwg, half)
-	g.merge(s, run, gx, gy)
-}
-
-// computeDBHigh computes the upper half-panel [half, Kwg) of the panel
-// at pwg; direct (non-staged) operands read global memory at the true
-// k offset.
-func (g *GEMM[T]) computeDBHigh(s *state[T], run *clsim.GroupRun, gx, gy, pwg, half int) {
 	g.compute(s, run, gx, gy, pwg, half, half)
+	g.merge(s, run, gx, gy)
 }

@@ -6,7 +6,6 @@ import (
 	"oclgemm/internal/clsim"
 	"oclgemm/internal/codegen"
 	"oclgemm/internal/matrix"
-	"oclgemm/internal/obs"
 )
 
 // Pack is the native executable form of the §III-D copy kernel: it
@@ -21,10 +20,7 @@ type Pack[T matrix.Scalar] struct {
 	S          []T
 	D          []T
 
-	idx   index
-	geo   panelGeom
-	micro microKind
-	o     kernObs
+	geo panelGeom
 }
 
 // NewPack validates shapes and builds the kernel.
@@ -46,30 +42,9 @@ func NewPack[T matrix.Scalar](p codegen.PackParams, sr, sc, ld, r, c int, s, d [
 	}
 	return &Pack[T]{
 		P: p, SR: sr, SC: sc, LD: ld, R: r, C: c, S: s, D: d,
-		idx:   indexer(p.Layout, r, c, p.Rb, p.Cb),
-		geo:   panelGeom{layout: p.Layout, rows: r, cols: c, rb: p.Rb, cb: p.Cb},
-		micro: microUnit,
+		geo: panelGeom{layout: p.Layout, rows: r, cols: c, rb: p.Rb, cb: p.Cb},
 	}, nil
 }
-
-// SetObserver resolves the pack kernel's micro-kernel selection
-// counters (kernels.pack.groups{micro=...}). A nil registry detaches.
-func (k *Pack[T]) SetObserver(r *obs.Registry) { k.o = resolveKernObs(r, "pack") }
-
-// SetFastPath toggles between the row-run copy fast path (the default —
-// valid for every pack geometry, since the destination is contiguous
-// within each Cb-wide block run under all three layouts) and the
-// per-element generic reference path.
-func (k *Pack[T]) SetFastPath(enabled bool) {
-	if enabled {
-		k.micro = microUnit
-	} else {
-		k.micro = microGeneric
-	}
-}
-
-// Micro reports which micro-kernel the dispatch selected.
-func (k *Pack[T]) Micro() string { return k.micro.String() }
 
 // Name implements clsim.GroupKernel.
 func (k *Pack[T]) Name() string {
@@ -98,47 +73,15 @@ func (k *Pack[T]) NDRange() clsim.NDRange {
 	return clsim.NDRange{Global: g, Local: l}
 }
 
-// RunGroup implements clsim.GroupKernel.
+// RunGroup implements clsim.GroupKernel. It processes the group's
+// destination tile row by row, splitting each row at Cb block
+// boundaries so every segment is contiguous in the destination.
+// Untransposed sources are row-major and unit-stride along c, so valid
+// segments reduce to copy(); the transposed read is a column gather
+// (LD-strided) but still closure-free. Elements outside the source are
+// zero-filled with clear(), the zero padding the GEMM kernel relies
+// on. One PhaseBarrier stands for the source kernel's single phase.
 func (k *Pack[T]) RunGroup(run *clsim.GroupRun) {
-	k.o.group(k.micro)
-	if k.micro != microUnit {
-		k.runGeneric(run)
-		return
-	}
-	k.runFast(run)
-}
-
-// runGeneric is the element-by-element reference path, mirroring the
-// generated OpenCL source one work-item at a time.
-func (k *Pack[T]) runGeneric(run *clsim.GroupRun) {
-	run.ForAll(func(lx, ly int) {
-		c := run.GlobalID0(lx)
-		r := run.GlobalID1(ly)
-		if r >= k.R || c >= k.C {
-			return
-		}
-		var v T
-		if k.P.Transpose {
-			if c < k.SR && r < k.SC {
-				v = k.S[c*k.LD+r]
-			}
-		} else {
-			if r < k.SR && c < k.SC {
-				v = k.S[r*k.LD+c]
-			}
-		}
-		k.D[k.idx(r, c)] = v
-	})
-}
-
-// runFast processes the group's destination tile row by row, splitting
-// each row at Cb block boundaries so every segment is contiguous in the
-// destination. Untransposed sources are row-major and unit-stride along
-// c, so valid segments reduce to copy(); the transposed read is a
-// column gather (LD-strided) but still closure-free. Out-of-source
-// elements are zero-filled with clear(), matching the generic path's
-// zero default. One PhaseBarrier mirrors the generic ForAll barrier.
-func (k *Pack[T]) runFast(run *clsim.GroupRun) {
 	c0 := run.GlobalID0(0)
 	r0 := run.GlobalID1(0)
 	c1 := min(c0+run.LocalSize(0), k.C)

@@ -201,8 +201,11 @@ func EqualApprox[T Scalar](a, b *Matrix[T], tol float64) bool {
 }
 
 // MaxRelDiff returns the maximum elementwise relative difference between
-// a and b, where the denominator is max(1, |a|, |b|). Panics on shape
-// mismatch.
+// a and b, where the denominator is max(1, |a|, |b|). Equal elements
+// and NaN/NaN pairs count as 0; any other pair involving a NaN or an
+// infinity (NaN against a number, Inf against a finite value or the
+// opposite Inf) makes the result +Inf, so no tolerance can pass it.
+// Panics on shape mismatch.
 func MaxRelDiff[T Scalar](a, b *Matrix[T]) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -212,9 +215,14 @@ func MaxRelDiff[T Scalar](a, b *Matrix[T]) float64 {
 		for c := 0; c < a.Cols; c++ {
 			x := float64(a.At(r, c))
 			y := float64(b.At(r, c))
+			if x == y || math.IsNaN(x) && math.IsNaN(y) {
+				continue
+			}
+			if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+				return math.Inf(1)
+			}
 			den := math.Max(1, math.Max(math.Abs(x), math.Abs(y)))
-			d := math.Abs(x-y) / den
-			if d > worst {
+			if d := math.Abs(x-y) / den; d > worst {
 				worst = d
 			}
 		}

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,53 @@ func TestMaxRelDiff(t *testing.T) {
 	}
 	if EqualApprox(a, b, 1e-9) {
 		t.Errorf("EqualApprox should fail at 1e-9")
+	}
+}
+
+// Non-finite values: equal values and NaN/NaN pairs are no difference,
+// any other NaN or infinity mismatch is an infinite one, so no
+// tolerance passes it — wherever it sits among matching elements.
+func TestMaxRelDiffNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		x, y float64
+		want float64
+	}{
+		{"equal", 0.5, 0.5, 0},
+		{"+Inf/+Inf", inf, inf, 0},
+		{"-Inf/-Inf", -inf, -inf, 0},
+		{"NaN/NaN", nan, nan, 0},
+		{"NaN/number", nan, 1, inf},
+		{"number/NaN", 1, nan, inf},
+		{"NaN/Inf", nan, inf, inf},
+		{"Inf/finite", inf, 1e300, inf},
+		{"finite/-Inf", 2, -inf, inf},
+		{"+Inf/-Inf", inf, -inf, inf},
+		{"finite", 4, 5, 0.2},
+	}
+	for _, tc := range cases {
+		for _, pos := range [][2]int{{0, 0}, {1, 2}} {
+			a := New[float64](2, 3, RowMajor)
+			b := New[float64](2, 3, RowMajor)
+			a.Fill(1)
+			b.Fill(1)
+			a.Set(pos[0], pos[1], tc.x)
+			b.Set(pos[0], pos[1], tc.y)
+			if got := MaxRelDiff(a, b); got != tc.want {
+				t.Errorf("%s at %v: MaxRelDiff = %g, want %g", tc.name, pos, got, tc.want)
+			}
+			if ok := EqualApprox(a, b, 1e300); ok != !math.IsInf(tc.want, 1) {
+				t.Errorf("%s at %v: EqualApprox(tol 1e300) = %v", tc.name, pos, ok)
+			}
+		}
+	}
+	// float32 NaN against a number.
+	a := New[float32](1, 2, RowMajor)
+	b := New[float32](1, 2, RowMajor)
+	a.Set(0, 1, float32(math.NaN()))
+	if got := MaxRelDiff(a, b); !math.IsInf(got, 1) {
+		t.Errorf("float32 NaN/0: MaxRelDiff = %g, want +Inf", got)
 	}
 }
 

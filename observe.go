@@ -58,12 +58,13 @@ func RenderPhases(phases []PhaseStat) string { return obs.RenderPhases(phases) }
 func NewBenchReport(mode string) *BenchReport { return obs.NewBenchReport(mode) }
 
 // Observe attaches a metrics registry and/or span trace to the routine
-// (either may be nil). Plans the engine builds afterwards record
-// per-phase pack/kernel/copy timings, plan-cache and pack-reuse
-// counters, and the underlying runtime's launch/buffer accounting.
-// Call it before the first Run: plans already cached keep the
-// instruments they were built with (Close first to rebuild). Safe to
-// call concurrently with Runs.
+// (either may be nil). The plan cache counts hits, misses and
+// evictions into the registry from the next call on; plans the engine
+// builds afterwards record per-phase pack/kernel/copy timings,
+// pack-reuse counters and the underlying runtime's launch/buffer
+// accounting. Call it before the first Run: plans already cached keep
+// the instruments they were built with (Close first to rebuild). Safe
+// to call concurrently with Runs.
 func (g *GEMM) Observe(m *Metrics, t *Trace) {
 	g.eng.Impl().SetObservability(m, t)
 }

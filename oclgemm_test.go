@@ -201,3 +201,35 @@ func TestTuneOrFallbackPassesThroughSuccess(t *testing.T) {
 		t.Error("successful search must carry a measured performance")
 	}
 }
+
+// Observe on a routine built by NewGEMM must reach its plan cache: the
+// first run of a shape is a miss, the second a hit.
+func TestObserveCountsPlanCacheLookups(t *testing.T) {
+	d, _ := DeviceByID("tahiti")
+	p := Params{
+		Precision: Double, Algorithm: BA,
+		Mwg: 8, Nwg: 8, Kwg: 4,
+		MdimC: 4, NdimC: 4, MdimA: 4, NdimB: 4,
+		Kwi: 2, VectorWidth: 1, SharedA: true, SharedB: true,
+		LayoutA: LayoutCBL, LayoutB: LayoutCBL,
+	}
+	g, err := NewGEMM(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	reg := NewMetrics()
+	g.Observe(reg, nil)
+	a := NewMatrix[float64](12, 9, RowMajor)
+	b := NewMatrix[float64](9, 10, RowMajor)
+	c := NewMatrix[float64](12, 10, RowMajor)
+	for i := 0; i < 2; i++ {
+		if err := g.Run(NoTrans, NoTrans, 1, a, b, 0, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := reg.Snapshot()
+	if miss, hit := s.Counters["gemm.plan.miss"], s.Counters["gemm.plan.hit"]; miss != 1 || hit != 1 {
+		t.Errorf("plan cache counted miss=%d hit=%d, want 1 and 1", miss, hit)
+	}
+}
